@@ -2,7 +2,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test analyze analyze-tests analyze-diff simsan-smoke tie-smoke own-smoke trace-smoke chaos-smoke copyengine-smoke sarif lint baseline all bench bench-full bench-smoke perf-baseline sharding-report ownership-report
+.PHONY: test analyze analyze-tests analyze-diff simsan-smoke tie-smoke own-smoke trace-smoke chaos-smoke copyengine-smoke sarif lint baseline all bench bench-full bench-smoke perf-baseline ownership-report
 
 all: analyze test
 
@@ -54,12 +54,6 @@ simsan-smoke:
 # stat trees must match bit for bit (docs/ANALYSIS.md).
 tie-smoke:
 	REPRO_TIE_ORDER=paired REPRO_JOBS=2 REPRO_SIMCACHE=off $(PYTHON) -m pytest benchmarks/test_fig21_bpq_sweep.py -x -q -p no:cacheprovider
-
-# Shard-locality report over the whole tree: console summary plus the
-# sharding-report.json CI artifact (docs/ANALYSIS.md).
-sharding-report:
-	$(PYTHON) -m repro.analysis src/repro --sharding-report
-	$(PYTHON) -m repro.analysis src/repro --sharding-report --format json --output sharding-report.json
 
 # Partition proof: per-shard inventories + the rendezvous edge list;
 # exits non-zero unless 0 unknown classes and 0 problems

@@ -166,12 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--list-rules", action="store_true",
         help="print the rule catalogue and exit")
     parser.add_argument(
-        "--sharding-report", action="store_true",
-        help="classify engine/controller/CTT/BPQ instance state as "
-             "provably shard-local, cross-shard (with rendezvous "
-             "points), or unknown — the inventory the per-channel "
-             "engine split starts from")
-    parser.add_argument(
         "--ownership-report", action="store_true",
         help="prove the declared per-channel partition: per-shard "
              "attribute inventories, the exact rendezvous edge list, "
@@ -194,21 +188,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     paths = args.paths or _default_paths()
-
-    if args.sharding_report:
-        from repro.analysis import sharding
-        try:
-            files = engine.collect_files(paths, exclude=args.exclude)
-            modules = engine.parse_modules(files)
-            report = sharding.classify(modules)
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if args.format == "json":
-            _emit(sharding.report_json(report), args.output)
-        else:
-            _emit(sharding.report_text(report), args.output)
-        return 0
 
     if args.ownership_report:
         from repro.analysis import ownership

@@ -49,8 +49,8 @@ Checked rules (reported through :mod:`repro.analysis.rules.ownership`):
 
 Shared classes are exempt from the cross-access walk: packet delivery
 through the fabric is message passing, not synchronous cross-shard
-access (the same doctrine :mod:`repro.analysis.sharding` applies), and
-host-side wiring (``System``) runs before the clock starts.
+access (the fabric *is* the rendezvous), and host-side wiring
+(``System``) runs before the clock starts.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ TARGET_PACKAGES = (
 SHARD_MODULE = "repro.sim.shard"
 
 #: Helper methods whose return value may be *another* shard's
-#: controller (the owner-lookup idiom shared with the sharding pass).
+#: controller (the owner-lookup idiom).
 CROSS_OWNER_FNS = {"_owner_of", "_owner"}
 
 #: Engine phase rendezvous events must run in (matches the phase the

@@ -1,10 +1,13 @@
 """The pluggable copy-backend contract.
 
-A :class:`CopyBackend` is a :class:`repro.sw.engine.CopyEngine` with a
-standard observable surface and a four-hook lifecycle, so every copy
-mechanism the crossover study compares — the eager software loop, (MC)²
-lazy tracking, zIO page elision, and the in-DRAM RowClone / mirroring
-models — plugs into the same workloads, sweeps, and figures:
+:class:`CopyBackend` is the one copy-engine class: workloads are written
+once against it and run under every copy mechanism the crossover study
+compares — the eager software loop (user ``memcpy`` or the kernel's
+line-granular bulk copy), (MC)² lazy tracking, zIO page elision, and the
+in-DRAM RowClone / mirroring models.  It routes *reads and writes of
+copied data* as well as copies, because zIO interposes page faults on
+first access; the other backends pass accesses straight through.  Each
+backend has a standard observable surface and a four-hook lifecycle:
 
 * **issue** (:meth:`CopyBackend._issue_ops`) — emit the µops that
   perform (or register, or elide) one copy.  This is the only hook a
@@ -36,16 +39,16 @@ through the ops they emit, never by direct mutation.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Optional
 
+from repro.isa import ops
 from repro.isa.ops import Op
 from repro.sim.shard import shard_local
-from repro.sw.engine import CopyEngine
 from repro.sw.memcpy import memcpy_ops
 
 
 @shard_local(domain="cpu")
-class CopyBackend(CopyEngine):
+class CopyBackend:
     """Base class for registered copy backends."""
 
     name = "backend"
@@ -61,7 +64,7 @@ class CopyBackend(CopyEngine):
         return {}
 
     def __init__(self, system):
-        super().__init__(system)
+        self.system = system
         group = system.stats.group("copyengine").group(self.name)
         self.stats = group
         self._copies = group.counter("copies", "copy requests issued")
@@ -105,6 +108,21 @@ class CopyBackend(CopyEngine):
         """Materialize any deferred copy state covering the range."""
         self._resolves.inc()
         return self._resolve_ops(addr, size)
+
+    # ----------------------------------------------------------- accesses
+    def read_ops(self, addr: int, size: int = 8, blocking: bool = False,
+                 on_retire=None) -> Iterator[Op]:
+        """Load from (possibly copied) data."""
+        yield ops.load(addr, size, blocking=blocking, on_retire=on_retire)
+
+    def write_ops(self, addr: int, size: int = 8,
+                  data: Optional[bytes] = None, on_retire=None,
+                  nontemporal: bool = False) -> Iterator[Op]:
+        """Store to (possibly copied) data."""
+        if nontemporal:
+            yield ops.nt_store(addr, size, data=data, on_retire=on_retire)
+        else:
+            yield ops.store(addr, size, data=data, on_retire=on_retire)
 
     # -------------------------------------------------------------- hooks
     def _issue_ops(self, dst: int, src: int, size: int) -> Iterator[Op]:

@@ -11,8 +11,9 @@ experiments exercise (§V-B "Concurrent snapshots with huge pages"):
 * a write to a COW page raises :class:`CowFault`; the caller resolves it
   with :meth:`OperatingSystem.begin_cow_fault` /
   :meth:`~OperatingSystem.complete_cow_fault`, emitting the page-copy ops
-  through whichever :class:`~repro.sw.engine.CopyEngine` is under test —
-  the native kernel copies eagerly, the modified kernel uses ``MCLAZY``.
+  through whichever :class:`~repro.copyengine.CopyBackend` is under
+  test — the native kernel copies eagerly, the modified kernel uses
+  ``MCLAZY``.
 
 Translation is explicit (workload generators call :meth:`translate`)
 rather than interposed on every op, keeping the hot simulation path
@@ -30,6 +31,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from repro.common import params
 from repro.common.errors import AddressError, ProtectionFault
 from repro.common.units import HUGE_PAGE_SIZE, PAGE_SIZE, align_down
+from repro.copyengine.base import CopyBackend
 from repro.isa import ops
 from repro.isa.ops import Op
 
@@ -202,7 +204,8 @@ class OperatingSystem:
         pte.cow = False
 
     def cow_store_ops(self, space: AddressSpace, vaddr: int, size: int,
-                      engine=None, data: Optional[bytes] = None,
+                      engine: Optional[CopyBackend] = None,
+                      data: Optional[bytes] = None,
                       on_retire=None) -> Iterator[Op]:
         """A store through the VM layer, servicing a COW fault if raised.
 

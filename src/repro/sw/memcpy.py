@@ -9,9 +9,9 @@ to be ``yield from``-ed inside a workload program:
   the destination with an eager fringe copy, CLWB every source line, then
   issue one MCLAZY per page-bounded run, and fence at the end (§III-D,
   §IV: writebacks are modelled by explicit CLWB calls).
-* :func:`interposed_memcpy_ops` — the ``copy_interpose.so`` policy:
-  redirect copies of at least ``min_lazy`` bytes (1KB in §V-B) to the
-  lazy path, fall back to eager otherwise.
+
+The ``copy_interpose.so`` policy (lazy for copies of at least 1KB, §V-B)
+is :class:`repro.copyengine.McLazyBackend`'s ``min_lazy`` threshold.
 
 All addresses are physical here; virtual-memory users go through
 :mod:`repro.os`, which translates before building ops.
@@ -59,7 +59,8 @@ def memcpy_ops(system, dst: int, src: int, size: int,
 def memcpy_lazy_ops(system, dst: int, src: int, size: int,
                     clwb_sources: bool = True,
                     fence: bool = True,
-                    wide_writeback: bool = False) -> Iterator[Op]:
+                    wide_writeback: bool = False,
+                    page_size: int = PAGE_SIZE) -> Iterator[Op]:
     """The paper's ``memcpy_lazy`` wrapper (Fig. 8 pseudocode).
 
     Aligns the destination to a cacheline with an eager fringe copy,
@@ -72,6 +73,11 @@ def memcpy_lazy_ops(system, dst: int, src: int, size: int,
     per-line CLWB train is replaced by a single range writeback per run,
     removing the overhead component that dominates above 1KB (see the
     ablation benchmark).
+
+    ``page_size`` is the contiguity granularity the wrapper may assume:
+    4KB in user space, 2MB when ``copy_user_huge_page`` knows both
+    buffers are physically contiguous huge pages.  Runs never exceed
+    one page, so each fits a single CTT entry.
     """
     yield ops.compute(params.MEMCPY_LAZY_CALL_CYCLES)
     while size > 0:
@@ -86,8 +92,8 @@ def memcpy_lazy_ops(system, dst: int, src: int, size: int,
             src += left_fringe
             size -= left_fringe
             continue
-        src_off = align_rem(src, PAGE_SIZE) or PAGE_SIZE
-        dst_off = align_rem(dst, PAGE_SIZE) or PAGE_SIZE
+        src_off = align_rem(src, page_size) or page_size
+        dst_off = align_rem(dst, page_size) or page_size
         copy_size = min(src_off, dst_off, size)
         if copy_size < CACHELINE_SIZE:
             yield from memcpy_ops(system, dst, src, copy_size)
@@ -108,16 +114,6 @@ def memcpy_lazy_ops(system, dst: int, src: int, size: int,
         size -= copy_size
     if fence:
         yield ops.mfence()
-
-
-def interposed_memcpy_ops(
-        system, dst: int, src: int, size: int,
-        min_lazy: int = params.INTERPOSER_MIN_LAZY_SIZE) -> Iterator[Op]:
-    """``copy_interpose.so``: lazy for large copies, eager otherwise."""
-    if size >= min_lazy:
-        yield from memcpy_lazy_ops(system, dst, src, size)
-    else:
-        yield from memcpy_ops(system, dst, src, size)
 
 
 def memcpy_backend_ops(system, dst: int, src: int, size: int) -> Iterator[Op]:

@@ -7,9 +7,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.common.units import CACHELINE_SIZE
+from repro.copyengine import (CopyBackend, canonical_name, make_backend,
+                              needs_ctt)
 from repro.isa import ops
 from repro.isa.ops import Op
-from repro.sw.engine import CopyEngine
 
 
 def rng(seed: int = 1234) -> random.Random:
@@ -79,13 +80,13 @@ class RegionTracker:
         return self.totals.get(name, 0)
 
 
-class NullCopyEngine(CopyEngine):
+class NullCopyBackend(CopyBackend):
     """Elides copies entirely and for free.
 
     Used only to *measure* copy overhead (Fig. 2): runtime(baseline) vs
     runtime(copies removed).  Data correctness is intentionally not
     preserved — destination reads are redirected to the source so access
-    patterns stay realistic.
+    patterns stay realistic.  Not registered: it is not a real backend.
     """
 
     name = "nocopy"
@@ -94,10 +95,10 @@ class NullCopyEngine(CopyEngine):
         super().__init__(system)
         self._redirect: Dict[int, int] = {}
 
-    def copy_ops(self, dst: int, src: int, size: int) -> Iterator[Op]:
+    def _issue_ops(self, dst: int, src: int, size: int) -> Iterator[Op]:
+        self._outcome("elided")
         self._redirect[dst] = src
-        return
-        yield  # pragma: no cover - generator with no ops
+        return iter(())
 
     def read_ops(self, addr: int, size: int = 8, blocking: bool = False,
                  on_retire=None):
@@ -112,7 +113,7 @@ class NullCopyEngine(CopyEngine):
         return addr
 
 
-def make_engine(name: str, system, **kwargs) -> CopyEngine:
+def make_engine(name: str, system, **kwargs) -> CopyBackend:
     """Factory over the :mod:`repro.copyengine` registry.
 
     Accepts every registered backend name plus the historical aliases
@@ -121,8 +122,7 @@ def make_engine(name: str, system, **kwargs) -> CopyEngine:
     not a real backend (it does not preserve data).
     """
     if name == "nocopy":
-        return NullCopyEngine(system)
-    from repro.copyengine import make_backend
+        return NullCopyBackend(system)
     return make_backend(name, system, **kwargs)
 
 
@@ -134,7 +134,17 @@ def engine_needs_ctt(name: str) -> bool:
     run on a vanilla controller exactly as before the backend registry
     existed.
     """
-    if name in ("nocopy", "native"):
+    if name == "nocopy":
         return False
-    from repro.copyengine import needs_ctt
     return needs_ctt(name)
+
+
+def kernel_label(name: str) -> str:
+    """Figure label of a kernel copy path (Figs. 18-19).
+
+    The eager and (MC)² kernels keep the paper's ``native`` /
+    ``mcsquare`` labels; every other backend reports its canonical name,
+    so aliases of one backend label their results alike.
+    """
+    backend = canonical_name(name)
+    return {"eager": "native", "mclazy": "mcsquare"}.get(backend, backend)

@@ -20,13 +20,22 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional
 
 from repro import System, SystemConfig
-from repro.common import params
 from repro.common.units import HUGE_PAGE_SIZE, MB
+from repro.copyengine import canonical_name
 from repro.isa import ops
 from repro.os.vm import OperatingSystem
-from repro.sw.engine import KernelEagerEngine, LazyEngine
 from repro.workloads.common import (LatencyRecorder, engine_needs_ctt,
-                                    make_engine, rng)
+                                    kernel_label, make_engine, rng)
+
+#: ``copy_user_huge_page`` settings per backend: the native kernel
+#: streams whole cachelines; the (MC)² kernel issues MCLAZY with 2MB
+#: contiguity and lets the hardware write dirty source lines back when
+#: the packet traverses the caches.
+KERNEL_COPY = {
+    "eager": {"bulk_copy": True},
+    "mclazy": {"min_lazy": 0, "page_size": HUGE_PAGE_SIZE,
+               "clwb_sources": False},
+}
 
 
 class HugePageCowWorkload:
@@ -41,21 +50,11 @@ class HugePageCowWorkload:
         self.config = config
         self.system = System(config)
         self.os = OperatingSystem(self.system)
-        if engine_name in ("memcpy", "native"):
-            self.engine = KernelEagerEngine(self.system)
-            self.engine_name = "native"
-        elif engine_name in ("mcsquare", "mc2", "lazy", "mclazy"):
-            # Kernel lazy path: huge-page contiguity, hardware handles
-            # dirty-source writeback at MCLAZY time.
-            self.engine = LazyEngine(self.system,
-                                     page_size=HUGE_PAGE_SIZE,
-                                     clwb_sources=False)
-            self.engine_name = "mcsquare"
-        else:
-            # Any registered copy backend (zio / rowclone / mirror ...):
-            # the COW handler copies whole huge pages through it.
-            self.engine = make_engine(engine_name, self.system)
-            self.engine_name = engine_name
+        # The COW handler copies whole huge pages through the backend.
+        self.engine = make_engine(
+            engine_name, self.system,
+            **KERNEL_COPY.get(canonical_name(engine_name), {}))
+        self.engine_name = kernel_label(engine_name)
         self.region_size = region_size
         self.num_updates = num_updates
         self.seed = seed

@@ -12,11 +12,17 @@ from __future__ import annotations
 from typing import Dict, Iterator, Optional
 
 from repro import System, SystemConfig
-from repro.common.units import CACHELINE_SIZE, KB
+from repro.common.units import CACHELINE_SIZE
+from repro.copyengine import canonical_name
 from repro.isa import ops
 from repro.os.pipes import Pipe
-from repro.sw.engine import KernelEagerEngine, LazyEngine
-from repro.workloads.common import LatencyRecorder, fill_pattern
+from repro.workloads.common import (LatencyRecorder, engine_needs_ctt,
+                                    fill_pattern, kernel_label, make_engine)
+
+#: ``pipe_write`` / ``pipe_read`` copy settings per backend: the native
+#: kernel streams whole cachelines, and the modified kernel calls
+#: ``memcpy_lazy`` directly (no user-space interposer threshold).
+KERNEL_COPY = {"eager": {"bulk_copy": True}, "mclazy": {"min_lazy": 0}}
 
 
 class PipeTransferWorkload:
@@ -27,16 +33,14 @@ class PipeTransferWorkload:
                  consume_fraction: float = 1.0,
                  config: Optional[SystemConfig] = None):
         config = config or SystemConfig()
-        if engine_name in ("memcpy", "native") and config.mcsquare_enabled:
+        if not engine_needs_ctt(engine_name) and config.mcsquare_enabled:
             config = config.with_overrides(mcsquare_enabled=False)
         self.config = config
         self.system = System(config)
-        if engine_name in ("memcpy", "native"):
-            self.engine = KernelEagerEngine(self.system)
-            self.engine_name = "native"
-        else:
-            self.engine = LazyEngine(self.system)
-            self.engine_name = "mcsquare"
+        self.engine = make_engine(
+            engine_name, self.system,
+            **KERNEL_COPY.get(canonical_name(engine_name), {}))
+        self.engine_name = kernel_label(engine_name)
         self.pipe = Pipe(self.system, self.engine)
         self.transfer_size = transfer_size
         self.num_transfers = num_transfers

@@ -44,9 +44,9 @@ def test_golden_trace_bytes_identical(tmp_path):
 def test_golden_trace_mclazy_backend_identical(tmp_path):
     # The golden predates the copy-backend registry; `mclazy` (the
     # canonical name `mcsquare` now aliases to) must replay it event
-    # for event — the backend wrapper is pure delegation around the
-    # LazyEngine op stream.  Only the export label (which echoes the
-    # requested engine spelling) may differ.
+    # for event — the backend emits exactly the memcpy_lazy_ops op
+    # stream.  Only the export label (which echoes the requested engine
+    # spelling) may differ.
     fresh = tmp_path / "mclazy.trace.json"
     assert obs_main(["run", "--workload", "seq", "--buffer-kb", "16",
                      "--engine", "mclazy", "--out", str(fresh)]) == 0

@@ -4,10 +4,14 @@ These use scaled-down parameters (the benchmarks in ``benchmarks/`` use
 larger ones); each asserts the qualitative result the paper reports.
 """
 
+import functools
+
 import pytest
 
 from repro import SystemConfig
 from repro.common.units import KB, MB
+from repro.copyengine import ALIASES, backend_names, canonical_name
+from repro.workloads.common import engine_needs_ctt
 
 
 class TestCopyLatencyMicro:
@@ -166,6 +170,38 @@ class TestPipe:
         native = run_pipe("native", 16 * KB, num_transfers=4)
         mc2 = run_pipe("mcsquare", 16 * KB, num_transfers=4)
         assert mc2["bytes_per_kcycle"] > 1.3 * native["bytes_per_kcycle"]
+
+
+def _pipe(name):
+    from repro.workloads.pipe import PipeTransferWorkload
+    return PipeTransferWorkload(name, 2 * KB, num_transfers=2)
+
+
+def _hugepage(name):
+    from repro.workloads.hugepage import HugePageCowWorkload
+    return HugePageCowWorkload(name, region_size=2 * MB, num_updates=2)
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel_result(build, name):
+    return build(name).run()
+
+
+class TestKernelCopyBackends:
+    """Figs. 18-19 run whichever registered backend they are given."""
+
+    @pytest.mark.parametrize("build", [_pipe, _hugepage],
+                             ids=["pipe", "hugepage"])
+    @pytest.mark.parametrize("name", backend_names() + sorted(ALIASES))
+    def test_backend_name_selects_backend(self, build, name):
+        workload = build(name)
+        assert workload.engine.name == canonical_name(name)
+        # Backends that do not use the CTT run on a vanilla controller.
+        assert workload.system.config.mcsquare_enabled == \
+            engine_needs_ctt(name)
+        # An alias is its canonical backend, label included.
+        assert _kernel_result(build, name) == \
+            _kernel_result(build, canonical_name(name))
 
 
 class TestRedis:

@@ -1,11 +1,16 @@
-"""Unit tests for the copy-engine abstraction (sw/engine.py)."""
+"""Unit tests for the software copy backends' user and kernel variants.
+
+``mclazy`` with ``min_lazy`` / ``page_size`` / ``clwb_sources`` and
+``eager`` with ``bulk_copy`` (the native kernel's line-granular copy),
+built through the :mod:`repro.copyengine` registry.
+"""
 
 import pytest
 
 from repro import System, small_system
 from repro.common.units import HUGE_PAGE_SIZE, KB, PAGE_SIZE
+from repro.copyengine import make_backend
 from repro.isa.ops import OpKind
-from repro.sw.engine import EagerEngine, KernelEagerEngine, LazyEngine
 from repro.workloads.common import fill_pattern
 
 
@@ -20,7 +25,7 @@ def pattern(n):
 class TestLazyEngine:
     def test_min_lazy_threshold(self):
         system = build()
-        engine = LazyEngine(system, min_lazy=1 * KB)
+        engine = make_backend("mclazy", system, min_lazy=1 * KB)
         src = system.alloc(8 * KB, align=PAGE_SIZE)
         dst = system.alloc(8 * KB, align=PAGE_SIZE)
         small = list(engine.copy_ops(dst, src, 512))
@@ -30,14 +35,14 @@ class TestLazyEngine:
 
     def test_free_ops_yield_mcfree(self):
         system = build()
-        engine = LazyEngine(system)
+        engine = make_backend("mclazy", system)
         assert [o.kind for o in engine.free_ops(0x4000, 4096)] == \
             [OpKind.MCFREE]
 
     def test_kernel_page_size_single_mclazy_for_huge_page(self):
         system = System(small_system(dram_size=64 * 1024 * 1024))
-        engine = LazyEngine(system, page_size=HUGE_PAGE_SIZE,
-                            clwb_sources=False)
+        engine = make_backend("mclazy", system, page_size=HUGE_PAGE_SIZE,
+                              clwb_sources=False)
         src = system.alloc(HUGE_PAGE_SIZE, align=HUGE_PAGE_SIZE)
         dst = system.alloc(HUGE_PAGE_SIZE, align=HUGE_PAGE_SIZE)
         mclazys = [o for o in engine.copy_ops(dst, src, HUGE_PAGE_SIZE)
@@ -47,8 +52,8 @@ class TestLazyEngine:
 
     def test_kernel_paged_copy_data_exact(self):
         system = build()
-        engine = LazyEngine(system, page_size=PAGE_SIZE,
-                            clwb_sources=False)
+        engine = make_backend("mclazy", system, page_size=PAGE_SIZE,
+                              clwb_sources=False)
         src = system.alloc(8 * KB, align=PAGE_SIZE)
         dst = system.alloc(8 * KB, align=PAGE_SIZE)
         data = pattern(8 * KB)
@@ -61,7 +66,7 @@ class TestLazyEngine:
 class TestKernelEagerEngine:
     def test_line_aligned_uses_bulk_copy(self):
         system = build()
-        engine = KernelEagerEngine(system)
+        engine = make_backend("eager", system, bulk_copy=True)
         src = system.alloc(4 * KB, align=PAGE_SIZE)
         dst = system.alloc(4 * KB, align=PAGE_SIZE)
         kinds = [o.kind for o in engine.copy_ops(dst, src, 4 * KB)]
@@ -70,7 +75,7 @@ class TestKernelEagerEngine:
 
     def test_relative_misalignment_falls_back_to_chunks(self):
         system = build()
-        engine = KernelEagerEngine(system)
+        engine = make_backend("eager", system, bulk_copy=True)
         src = system.alloc(4 * KB, align=PAGE_SIZE) + 8
         dst = system.alloc(4 * KB, align=PAGE_SIZE)
         kinds = [o.kind for o in engine.copy_ops(dst, src, 1 * KB)]
@@ -79,7 +84,7 @@ class TestKernelEagerEngine:
 
     def test_sub_line_tail_copied(self):
         system = build()
-        engine = KernelEagerEngine(system)
+        engine = make_backend("eager", system, bulk_copy=True)
         src = system.alloc(4 * KB, align=PAGE_SIZE)
         dst = system.alloc(4 * KB, align=PAGE_SIZE)
         data = pattern(200)
@@ -94,7 +99,7 @@ class TestKernelEagerEngine:
 class TestEngineAccessPassthrough:
     def test_reads_and_writes_are_plain_ops(self):
         system = build()
-        engine = EagerEngine(system)
+        engine = make_backend("eager", system)
         reads = list(engine.read_ops(0x4000, 8))
         writes = list(engine.write_ops(0x4000, 8, data=b"x" * 8))
         nt = list(engine.write_ops(0x4000, 64, nontemporal=True))

@@ -3,10 +3,11 @@
 import pytest
 
 from repro import System, small_system
+from repro.common import params
 from repro.common.units import CACHELINE_SIZE, PAGE_SIZE
+from repro.copyengine import make_backend
 from repro.isa.ops import OpKind
-from repro.sw.memcpy import (interposed_memcpy_ops, memcpy_lazy_ops,
-                             memcpy_ops, touch_ops)
+from repro.sw.memcpy import memcpy_lazy_ops, memcpy_ops, touch_ops
 
 CL = CACHELINE_SIZE
 
@@ -132,27 +133,33 @@ class TestLazyMemcpy:
         assert ops_list[-1].kind is OpKind.MFENCE
 
 
+def interposer(system):
+    """``copy_interpose.so``: the mclazy backend with its 1KB threshold."""
+    return make_backend("mclazy", system,
+                        min_lazy=params.INTERPOSER_MIN_LAZY_SIZE)
+
+
 class TestInterposer:
     def test_small_copy_eager(self):
         system = build()
         src = system.alloc(4096, align=PAGE_SIZE)
         dst = system.alloc(4096, align=PAGE_SIZE)
-        ops_list = list(interposed_memcpy_ops(system, dst, src, 512))
+        ops_list = list(interposer(system).copy_ops(dst, src, 512))
         assert not any(op.kind is OpKind.MCLAZY for op in ops_list)
 
     def test_large_copy_lazy(self):
         system = build()
         src = system.alloc(4096, align=PAGE_SIZE)
         dst = system.alloc(4096, align=PAGE_SIZE)
-        ops_list = list(interposed_memcpy_ops(system, dst, src, 2048))
+        ops_list = list(interposer(system).copy_ops(dst, src, 2048))
         assert any(op.kind is OpKind.MCLAZY for op in ops_list)
 
     def test_threshold_boundary(self):
         system = build()
         src = system.alloc(4096, align=PAGE_SIZE)
         dst = system.alloc(4096, align=PAGE_SIZE)
-        at = list(interposed_memcpy_ops(system, dst, src, 1024))
-        below = list(interposed_memcpy_ops(system, dst, src, 1023))
+        at = list(interposer(system).copy_ops(dst, src, 1024))
+        below = list(interposer(system).copy_ops(dst, src, 1023))
         assert any(op.kind is OpKind.MCLAZY for op in at)
         assert not any(op.kind is OpKind.MCLAZY for op in below)
 

@@ -1,17 +1,17 @@
-"""Unit tests for the zIO comparator engine."""
+"""Unit tests for the zIO comparator backend."""
 
 import pytest
 
 from repro import System, small_system
 from repro.common import params
 from repro.common.units import PAGE_SIZE
+from repro.copyengine import make_backend
 from repro.isa.ops import OpKind
-from repro.zio.engine import ZioEngine
 
 
 def build():
     system = System(small_system(mcsquare_enabled=False))
-    return system, ZioEngine(system)
+    return system, make_backend("zio", system)
 
 
 def pattern(n):
@@ -150,7 +150,7 @@ class TestCosts:
 
 
 def _read(zio, addr, size):
-    """Yield the engine's read ops; return the loaded bytes."""
+    """Yield the backend's read ops; return the loaded bytes."""
     value = None
     for op in zio.read_ops(addr, size, blocking=True):
         value = yield op
