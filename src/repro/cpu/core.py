@@ -23,10 +23,12 @@ resource frees, and in-order retirement frees window slots.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Generator, Optional
+from typing import Callable, Deque, Dict, Generator, List, Optional
 
 from repro.common import params
+from repro.cache.cache import _LINE_SHIFT
 from repro.cache.hierarchy import CacheHierarchy
+from repro.common.units import CACHELINE_SIZE
 from repro.common.errors import SimulationError
 from repro.isa.ops import Op, OpKind
 from repro.sim.engine import Simulator
@@ -48,6 +50,21 @@ _ISSUE_COST = {
     OpKind.BULK_COPY: 1,
     OpKind.CLWB_RANGE: 4,
 }
+
+
+def _apply_stores(out: bytearray, addr: int, lo_clip: int, hi_clip: int,
+                  stores: List[list]) -> None:
+    """Copy each store's bytes inside [lo_clip, hi_clip) into ``out``.
+
+    ``out`` holds [addr, ...); stores apply in list order.
+    """
+    for s_addr, s_size, s_data in stores:
+        lo = s_addr if s_addr > lo_clip else lo_clip
+        hi = s_addr + s_size
+        if hi > hi_clip:
+            hi = hi_clip
+        if lo < hi:
+            out[lo - addr:hi - addr] = s_data[lo - s_addr:hi - s_addr]
 
 
 @shard_local(domain="cpu")
@@ -74,8 +91,13 @@ class Core:
         self._serializing: Optional[Op] = None  # e.g. BULK_COPY
         self._sb_used = 0
         # Pending (not yet drained) stores for store-to-load forwarding:
-        # list of [addr, size, data].
+        # list of [addr, size, data] in program order, plus an index
+        # from cacheline number to the entries touching that line,
+        # oldest first (a zero-size store is filed under its addr's
+        # line).  Queries read the lines they span, or scan the list
+        # when they span more lines than there are pending stores.
         self._pending_stores: list = []
+        self._store_lines: Dict[int, List[list]] = {}
         self._next_issue_at = 0
         self._exhausted = True
         self._on_finish: Optional[Callable[[int], None]] = None
@@ -204,8 +226,17 @@ class Core:
     def _forward_from_store_buffer(self, addr: int,
                                    size: int) -> Optional[bytes]:
         """Newest pending store fully covering [addr, addr+size), if any."""
-        for entry in reversed(self._pending_stores):
-            s_addr, s_size, s_data = entry
+        if size > 0:
+            # A covering store holds byte addr, so it is filed under
+            # addr's line.
+            stores = self._store_lines.get(addr >> _LINE_SHIFT)
+            if stores is None:
+                return None
+        else:
+            # A zero-size load is covered by a store ending at addr,
+            # which may sit wholly in the line before.
+            stores = self._pending_stores
+        for s_addr, s_size, s_data in reversed(stores):
             if s_addr <= addr and addr + size <= s_addr + s_size:
                 offset = addr - s_addr
                 return bytes(s_data[offset:offset + size])
@@ -215,21 +246,73 @@ class Core:
         """Is an older pending store byte-overlapping ``entry``'s range?"""
         addr, size, _ = entry
         end = addr + size
-        for other in self._pending_stores:
-            if other is entry:
-                return False
-            o_addr, o_size, _ = other
-            if o_addr < end and addr < o_addr + o_size:
-                return True
+        first = addr >> _LINE_SHIFT
+        last = (end - 1) >> _LINE_SHIFT if size > 0 else first
+        if last - first >= len(self._pending_stores):
+            for other in self._pending_stores:
+                if other is entry:
+                    return False
+                o_addr, o_size, _ = other
+                if o_addr < end and addr < o_addr + o_size:
+                    return True
+            return False
+        # Any overlapping store shares a line with entry, and each
+        # line's list is oldest first, so stop at entry itself.
+        lines = self._store_lines
+        for line in range(first, last + 1):
+            for other in lines[line]:
+                if other is entry:
+                    break
+                o_addr, o_size, _ = other
+                if o_addr < end and addr < o_addr + o_size:
+                    return True
         return False
 
     def _pending_store_overlap(self, addr: int, size: int) -> bool:
         """Any not-yet-drained store touching [addr, addr+size)?"""
         end = addr + size
-        for s_addr, s_size, _ in self._pending_stores:
-            if s_addr < end and addr < s_addr + s_size:
-                return True
+        first = addr >> _LINE_SHIFT
+        last = (end - 1) >> _LINE_SHIFT if size > 0 else first
+        if last - first >= len(self._pending_stores):
+            for s_addr, s_size, _ in self._pending_stores:
+                if s_addr < end and addr < s_addr + s_size:
+                    return True
+            return False
+        lines = self._store_lines
+        for line in range(first, last + 1):
+            stores = lines.get(line)
+            if stores is not None:
+                for s_addr, s_size, _ in stores:
+                    if s_addr < end and addr < s_addr + s_size:
+                        return True
         return False
+
+    def overlay_pending_stores(self, addr: int, size: int,
+                               out: bytearray) -> None:
+        """Write not-yet-drained stores over ``out`` = [addr, addr+size).
+
+        Stores apply in program order, so the newest wins each byte.
+        Through the index they apply line by line, clipped to the line:
+        every store holding a byte sits in that byte's line list, and
+        clipping keeps an older store that straddles into the next line
+        from overwriting a newer one there.
+        """
+        pending = self._pending_stores
+        if not pending:
+            return
+        end = addr + size
+        first = addr >> _LINE_SHIFT
+        last = (end - 1) >> _LINE_SHIFT if size > 0 else first
+        if last - first >= len(pending):
+            _apply_stores(out, addr, addr, end, pending)
+            return
+        lines = self._store_lines
+        for line in range(first, last + 1):
+            stores = lines.get(line)
+            if stores is not None:
+                base = line << _LINE_SHIFT
+                _apply_stores(out, addr, base if base > addr else addr,
+                              min(base + CACHELINE_SIZE, end), stores)
 
     def _dispatch_after_stores(self, ranges, action) -> None:
         """Run ``action`` once no pending store overlaps ``ranges``.
@@ -317,11 +400,27 @@ class Core:
                 data = (op.addr & 0xFF).to_bytes(1, "little") * op.size
             entry = [op.addr, op.size, data]
             self._pending_stores.append(entry)
+            store_lines = self._store_lines
+            first = op.addr >> _LINE_SHIFT
+            last = ((op.addr + op.size - 1) >> _LINE_SHIFT
+                    if op.size > 0 else first)
+            for line in range(first, last + 1):
+                stores = store_lines.get(line)
+                if stores is None:
+                    store_lines[line] = [entry]
+                else:
+                    stores.append(entry)
             self.sim.schedule(1, lambda: self._complete(op),
                               label="store-issued")
 
             def _drained(finish: int) -> None:
                 self._pending_stores.remove(entry)
+                for line in range(first, last + 1):
+                    stores = store_lines[line]
+                    if len(stores) == 1:
+                        del store_lines[line]
+                    else:
+                        stores.remove(entry)
                 self._sb_free()
 
             def _dispatch() -> None:

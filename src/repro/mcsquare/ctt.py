@@ -29,7 +29,7 @@ interconnect broadcast; this class models the replicated content once.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.common import params
@@ -218,7 +218,12 @@ class CopyTrackingTable:
                 self._copy_live.get(entry.copy_id, 0) + 1
 
     def _remove(self, entry: CttEntry, reason: str = "resolved") -> None:
-        index = self._entries.index(entry)
+        # Destination ranges never overlap, so starts are unique and
+        # the bisect lands on the entry itself.
+        index = bisect_left(self._starts, entry.dst)
+        if index >= len(self._entries) or self._entries[index] is not entry:
+            raise SimulationError(
+                f"CTT entry at {entry.dst:#x} is not in the table")
         del self._entries[index]
         del self._starts[index]
         self._unindex_src(entry)
@@ -273,8 +278,11 @@ class CopyTrackingTable:
                 trace.span_end("copy", f"copy:{cid}", {"reason": reason})
 
     # ------------------------------------------------------------- lookups
-    def _dest_overlaps(self, addr: int, size: int) -> List[CttEntry]:
-        """Entries whose destination range intersects [addr, addr+size)."""
+    def dest_overlaps(self, addr: int, size: int) -> List[CttEntry]:
+        """Entries whose destination range intersects [addr, addr+size).
+
+        Sorted by destination; a bisect plus a walk over the hits only.
+        """
         if not self._entries or size <= 0:
             return []
         idx = bisect_right(self._starts, addr) - 1
@@ -291,7 +299,7 @@ class CopyTrackingTable:
     def lookup_dest_line(self, line_addr: int) -> Optional[CttEntry]:
         """Entry tracking the destination cacheline at ``line_addr``."""
         line_addr = align_down(line_addr, CACHELINE_SIZE)
-        hits = self._dest_overlaps(line_addr, CACHELINE_SIZE)
+        hits = self.dest_overlaps(line_addr, CACHELINE_SIZE)
         return hits[0] if hits else None
 
     def source_lines_for_dest(self, line_addr: int) -> Optional[List[int]]:
@@ -421,7 +429,7 @@ class CopyTrackingTable:
         immediate resolution by the controller.
         """
         # Byte-granular segments covering the whole copy, in dst order.
-        overlaps = sorted(self._dest_overlaps(src, size), key=lambda e: e.dst)
+        overlaps = sorted(self.dest_overlaps(src, size), key=lambda e: e.dst)
         segments: List[Tuple[int, int, int]] = []  # (dst_byte, src_byte, len)
         cursor = src
         end = src + size
@@ -500,8 +508,8 @@ class CopyTrackingTable:
 
     def _merge_around(self, dst: int, size: int) -> None:
         """Coalesce entries adjacent to [dst, dst+size) when contiguous."""
-        hits = self._dest_overlaps(dst - CACHELINE_SIZE,
-                                   size + 2 * CACHELINE_SIZE)
+        hits = self.dest_overlaps(dst - CACHELINE_SIZE,
+                                  size + 2 * CACHELINE_SIZE)
         if len(hits) < 2:
             return
         hits.sort(key=lambda e: e.dst)
@@ -538,7 +546,7 @@ class CopyTrackingTable:
         """
         affected = 0
         end = addr + size
-        for entry in list(self._dest_overlaps(addr, size)):
+        for entry in list(self.dest_overlaps(addr, size)):
             affected += 1
             self._removed_bytes.inc(
                 min(entry.dst_end, end) - max(entry.dst, addr))

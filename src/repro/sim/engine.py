@@ -22,6 +22,14 @@ overflow timeouts, OS costs such as fork/page-fault latencies).
   future cycle — no per-event timestamp checks are needed on the ring.
   Slot lists are emptied with ``clear()`` and reused, so the steady
   state allocates nothing but the events themselves.
+* A ``bytearray`` *occupancy map* beside the ring holds one byte per
+  slot: the append sets it, draining the slot clears it.  Finding the
+  next busy cycle is one ``find(1, i)`` (a C ``memchr``) plus one
+  wrap-around retry, not a Python-level walk over empty slots — a
+  latency-bound run (a pointer chase firing ~0.03 events per cycle)
+  skips dozens of idle cycles per event.  Every loop (``run``'s fast
+  and observed loops, ``step()``) uses it, capped at the far head or
+  the ``until`` horizon.
 * ``schedule(delay >= day_length)`` pushes ``(when, key, event)`` onto
   the far heap (the PR 3 tuple layout, compared entirely in C).  When
   the drain reaches ``far[0]``'s cycle the events are *promoted* into
@@ -37,7 +45,7 @@ overflow timeouts, OS costs such as fork/page-fault latencies).
 Batched same-cycle dispatch
 ---------------------------
 
-``run()`` advances cycle by cycle and drains each cycle's slot as one
+``run()`` jumps from busy cycle to busy cycle and drains each slot as one
 tight cursor loop over the plain list — one Python-level iteration per
 event, no heap sift, no key tuple.  Same-cycle *phases* order dispatch
 within the slot: phase 0 for ordinary component events (completions,
@@ -263,6 +271,11 @@ class Simulator:
         # (see the module docstring), so no (when, ...) keys are stored;
         # within each phase the append order is the sequence order.
         self._ring: List[List[Event]] = [[] for _ in range(day)]
+        # Occupancy map beside the ring: byte s is 1 exactly while
+        # ring[s] is non-empty (set on every append, cleared when the
+        # slot drains), so the drain finds the next busy cycle with one
+        # bytearray.find (memchr) instead of walking empty slots.
+        self._occ = bytearray(day)
         # Events >= one rotation out: (when, key, event) min-heap.
         self._far: List[Tuple[int, int, Event]] = []
         self._seq = 0
@@ -341,7 +354,9 @@ class Simulator:
         event.phase = phase
         event._sim = self
         if delay < self._day:
-            self._ring[when & self._mask].append(event)
+            slot = when & self._mask
+            self._ring[slot].append(event)
+            self._occ[slot] = 1
             if not delay:
                 # Same-cycle: fires before the current drain finishes
                 # its slot unless its phase lets it ride the tail.
@@ -378,7 +393,9 @@ class Simulator:
         event.phase = phase
         event._sim = self
         if when - now < self._day:
-            self._ring[when & self._mask].append(event)
+            slot = when & self._mask
+            self._ring[slot].append(event)
+            self._occ[slot] = 1
             if when == now:
                 maxp = self._drain_maxp
                 if phase < maxp or (phase == maxp
@@ -478,6 +495,7 @@ class Simulator:
         # Fast loop: hot names bound locally, no watchdog or profiler
         # branches, events_fired flushed once on the way out.
         ring = self._ring
+        occ = self._occ
         mask = self._mask
         far = self._far
         fired = 0
@@ -487,8 +505,7 @@ class Simulator:
                 # ---- locate the next busy cycle c ----
                 if not far:
                     # Common case: nothing beyond the horizon, so every
-                    # queued event is in the ring and a scan hits one
-                    # within a rotation.
+                    # queued event is in the ring.
                     if self._seq == self._consumed:
                         # Idle: the queue is fully drained.
                         if until is not None and until > self.now:
@@ -496,18 +513,16 @@ class Simulator:
                         return self.now
                     lst = ring[c & mask]
                     if not lst:
-                        if until is None:
-                            while not lst:
-                                c += 1
-                                lst = ring[c & mask]
-                        else:
-                            while not lst and c < until:
-                                c += 1
-                                lst = ring[c & mask]
-                            if not lst:
-                                # Nothing left at or before the horizon.
-                                self.now = until
-                                return until
+                        # Jump to the next busy slot: one memchr over
+                        # the occupancy map, wrapping once.  Some slot
+                        # is busy because the ring holds every stored
+                        # event.
+                        i = c & mask
+                        j = occ.find(1, i)
+                        if j < 0:
+                            j = occ.find(1, 0, i)
+                        c += (j - i) & mask
+                        lst = ring[j]
                     if until is not None and c > until:
                         self.now = until
                         return until
@@ -516,15 +531,22 @@ class Simulator:
                         if self._seq - self._consumed > len(far):
                             lst = ring[c & mask]
                             if not lst:
-                                # Scan empty per-cycle slots, capped at
+                                # Jump to the next busy slot, capped at
                                 # the far head / until horizon.
                                 stop = far[0][0] if far else None
                                 if until is not None and (stop is None
                                                           or until < stop):
                                     stop = until
-                                while not lst and (stop is None or c < stop):
-                                    c += 1
-                                    lst = ring[c & mask]
+                                i = c & mask
+                                j = occ.find(1, i)
+                                if j < 0:
+                                    j = occ.find(1, 0, i)
+                                nxt = c + ((j - i) & mask)
+                                if stop is None or nxt <= stop:
+                                    c = nxt
+                                elif c < stop:
+                                    c = stop
+                                lst = ring[c & mask]
                         elif far:
                             c = far[0][0]
                             lst = ring[c & mask]
@@ -539,13 +561,13 @@ class Simulator:
                             # Far events due now: merge them into the
                             # slot (raises if a poisoned entry went
                             # backwards in time).
-                            self._promote(far, lst)
+                            self._promote(far, c & mask)
                             if lst:
                                 break
                             continue  # promoted only tombstones: rescan
                         if lst:
                             break
-                        # Empty slot, nothing far due: the scan stopped
+                        # Empty slot, nothing far due: the jump stopped
                         # at the `until` horizon with nothing before it.
                         self.now = until
                         return until
@@ -600,8 +622,11 @@ class Simulator:
                                 self._drain_maxp = rest[-1].phase
                 except BaseException:
                     del lst[:j]
+                    if not lst:
+                        occ[c & mask] = 0
                     raise
                 lst.clear()
+                occ[c & mask] = 0
                 if fired == cycle_fired:
                     # Every event this cycle was a tombstone: the clock
                     # never observably reached c.
@@ -618,6 +643,7 @@ class Simulator:
         watchdog/profiler/tracer work.
         """
         ring = self._ring
+        occ = self._occ
         mask = self._mask
         far = self._far
         clock = self._profile_clock
@@ -634,17 +660,12 @@ class Simulator:
                         return self.now
                     lst = ring[c & mask]
                     if not lst:
-                        if until is None:
-                            while not lst:
-                                c += 1
-                                lst = ring[c & mask]
-                        else:
-                            while not lst and c < until:
-                                c += 1
-                                lst = ring[c & mask]
-                            if not lst:
-                                self.now = until
-                                return until
+                        i = c & mask
+                        j = occ.find(1, i)
+                        if j < 0:
+                            j = occ.find(1, 0, i)
+                        c += (j - i) & mask
+                        lst = ring[j]
                     if until is not None and c > until:
                         self.now = until
                         return until
@@ -657,9 +678,16 @@ class Simulator:
                                 if until is not None and (stop is None
                                                           or until < stop):
                                     stop = until
-                                while not lst and (stop is None or c < stop):
-                                    c += 1
-                                    lst = ring[c & mask]
+                                i = c & mask
+                                j = occ.find(1, i)
+                                if j < 0:
+                                    j = occ.find(1, 0, i)
+                                nxt = c + ((j - i) & mask)
+                                if stop is None or nxt <= stop:
+                                    c = nxt
+                                elif c < stop:
+                                    c = stop
+                                lst = ring[c & mask]
                         elif far:
                             c = far[0][0]
                             lst = ring[c & mask]
@@ -671,7 +699,7 @@ class Simulator:
                             self.now = until
                             return until
                         if far and far[0][0] <= c:
-                            self._promote(far, lst)
+                            self._promote(far, c & mask)
                             if lst:
                                 break
                             continue
@@ -746,8 +774,11 @@ class Simulator:
                                 self._drain_maxp = rest[-1].phase
                 except BaseException:
                     del lst[:j]
+                    if not lst:
+                        occ[c & mask] = 0
                     raise
                 lst.clear()
+                occ[c & mask] = 0
                 if fired == cycle_fired:
                     self.now = prev_now
                 c += 1
@@ -755,14 +786,15 @@ class Simulator:
             self._preempt = False
 
     def _promote(self, far: List[Tuple[int, int, Event]],
-                 lst: List[Event]) -> None:
-        """Move every far event due at the far head's cycle into ``lst``.
+                 slot: int) -> None:
+        """Move every far event due at the far head's cycle into ``slot``.
 
         Appends in place (the slot list is never rebound) and re-sorts
         the slot by sequence number so promoted events (older seqs)
         interleave with ring events in FIFO order; a tie-break hook
         re-sorts at dispatch anyway.
         """
+        lst = self._ring[slot]
         heappop = heapq.heappop
         due = far[0][0]
         if due < self.now:
@@ -777,6 +809,7 @@ class Simulator:
                 continue
             event._in_far = False
             lst.append(event)
+            self._occ[slot] = 1
         if len(lst) > 1:
             lst.sort(key=_SEQ_KEY)
 
@@ -791,15 +824,25 @@ class Simulator:
     def step(self) -> bool:
         """Fire the single next pending event.  Returns False when idle."""
         ring = self._ring
+        occ = self._occ
         mask = self._mask
         far = self._far
         c = self.now
         while True:
             if self._seq - self._consumed > len(far):
                 lst = ring[c & mask]
-                stop = far[0][0] if far else None
-                while not lst and (stop is None or c < stop):
-                    c += 1
+                if not lst:
+                    # Jump to the next busy slot, capped at the far head.
+                    stop = far[0][0] if far else None
+                    i = c & mask
+                    j = occ.find(1, i)
+                    if j < 0:
+                        j = occ.find(1, 0, i)
+                    nxt = c + ((j - i) & mask)
+                    if stop is None or nxt <= stop:
+                        c = nxt
+                    elif c < stop:
+                        c = stop
                     lst = ring[c & mask]
             elif far:
                 c = far[0][0]
@@ -807,7 +850,7 @@ class Simulator:
             else:
                 return False
             if far and far[0][0] <= c:
-                self._promote(far, lst)
+                self._promote(far, c & mask)
             if not lst:
                 continue
             if c < self.now:
@@ -817,6 +860,8 @@ class Simulator:
                 lst.sort(key=_PHASE_KEY if tie is None else _tie_key(tie))
             while lst:
                 event = lst.pop(0)
+                if not lst:
+                    occ[c & mask] = 0
                 self._consumed += 1
                 if event.cancelled:
                     self._cancelled -= 1

@@ -199,12 +199,7 @@ class System:
             pos += take
         # Overlay not-yet-drained stores (program order within each core).
         for core in self.cores:
-            for s_addr, s_size, s_data in core._pending_stores:
-                lo = max(s_addr, addr)
-                hi = min(s_addr + s_size, addr + size)
-                if lo < hi:
-                    out[lo - addr:hi - addr] = \
-                        s_data[lo - s_addr:hi - s_addr]
+            core.overlay_pending_stores(addr, size, out)
         return bytes(out)
 
     def _parked_line(self, line_addr: int) -> Optional[bytes]:
@@ -222,7 +217,7 @@ class System:
             return self.backing.read(addr, size)
         out = bytearray(self.backing.read(addr, size))
         # Overlay tracked destinations with their (current) source bytes.
-        for entry in self.ctt.entries:
+        for entry in self.ctt.dest_overlaps(addr, size):
             lo = max(entry.dst, addr)
             hi = min(entry.dst_end, addr + size)
             if lo < hi:

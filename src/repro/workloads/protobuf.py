@@ -20,6 +20,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from repro import System, SystemConfig
 from repro.common import params
 from repro.common.units import CACHELINE_SIZE, KB
+from repro.copyengine import canonical_name
 from repro.isa import ops
 from repro.workloads.common import (RegionTracker, engine_needs_ctt,
                                     fill_pattern, make_engine,
@@ -73,8 +74,8 @@ class ProtobufWorkload:
             config = config.with_overrides(mcsquare_enabled=False)
         self.config = config
         self.system = System(config)
-        kwargs = {"min_lazy": min_lazy} if engine_name in (
-            "mcsquare", "mc2", "lazy") else {}
+        kwargs = ({"min_lazy": min_lazy}
+                  if canonical_name(engine_name) == "mclazy" else {})
         self.engine = make_engine(engine_name, self.system, **kwargs)
         self.engine_name = engine_name
         self.messages = generate_messages(num_ops, seed)

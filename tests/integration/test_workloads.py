@@ -97,6 +97,15 @@ class TestProtobuf:
         mc2 = run_protobuf("mcsquare", num_ops=40)
         assert mc2["cycles"] < base["cycles"]
 
+    def test_backend_spelling_keeps_interposer_threshold(self):
+        """Every spelling of the lazy backend gets the 1 KB interposer."""
+        from repro.workloads.protobuf import run_protobuf
+        canonical = run_protobuf("mclazy", num_ops=12)
+        alias = run_protobuf("mcsquare", num_ops=12)
+        assert canonical.pop("engine") == "mclazy"
+        assert alias.pop("engine") == "mcsquare"
+        assert canonical == alias
+
     def test_zio_cannot_elide_protobuf(self):
         """All copies are sub-page, so zIO ~ baseline (Fig. 14)."""
         from repro.workloads.protobuf import run_protobuf

@@ -3,11 +3,16 @@
 A reference model tracks, per destination cacheline, the byte address of
 the source backing each dest byte.  Random sequences of inserts/removes/
 frees are applied to both the CTT and the reference; tracked mappings
-must agree and the structural invariants must hold after every step.
+must agree and the structural invariants must hold after every step,
+including the bisect key list mirroring the entries' destinations.
+A second property checks the system's CTT-aware backing read, which
+overlays only the entries a destination bisect returns, against a
+scan of every entry on trimmed and split tables.
 """
 
 from hypothesis import given, settings, strategies as st
 
+from repro import System, SystemConfig
 from repro.mcsquare.ctt import CopyTrackingTable
 
 CL = 64
@@ -100,6 +105,7 @@ def test_ctt_matches_reference_model(ops):
             ctt.free_hint(addr, size)
             ref.remove_dest(addr, size)
         ctt.verify_invariants()
+        assert ctt._starts == [e.dst for e in ctt._entries]
 
     # Every reference mapping must be reproduced by the CTT, byte for byte.
     for dst_byte, src_byte in ref.backing.items():
@@ -111,6 +117,49 @@ def test_ctt_matches_reference_model(ops):
     for entry in ctt.entries:
         for off in range(0, entry.size, CL):
             assert (entry.dst + off) in ref.backing
+
+
+def _full_scan_read(system, addr, size):
+    """Backing bytes with *every* CTT entry overlaid (the reference)."""
+    out = bytearray(system.backing.read(addr, size))
+    for entry in system.ctt.entries:
+        lo = max(entry.dst, addr)
+        hi = min(entry.dst_end, addr + size)
+        if lo < hi:
+            out[lo - addr:hi - addr] = system.backing.read(
+                entry.src_for_dst(lo), hi - lo)
+    return bytes(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(operations(), st.lists(st.tuples(st.integers(0, REGION - 1),
+                                        st.integers(0, 3 * CL)),
+                              min_size=1, max_size=6),
+       st.booleans())
+def test_mcsquare_read_matches_full_scan(ops, windows, misaligned):
+    """The bisect overlay reads what overlaying every entry reads."""
+    system = System(SystemConfig())
+    ctt = system.ctt
+    for base in (DST_BASE, SRC_BASE):
+        system.backing.write(base, bytes((base // CL + i * 7) & 0xFF
+                                         for i in range(REGION + CL)))
+    for op in ops:
+        if op[0] == "insert":
+            _, dst, src, size = op
+            if misaligned:
+                src += (dst // CL * 13) % CL
+            if src < dst + size and dst < src + size:
+                continue
+            assert ctt.insert(dst, src, size).ok
+        elif op[0] == "remove":
+            ctt.remove_dest_range(op[1], op[2])
+        else:
+            ctt.free_hint(op[1], op[2])
+        assert ctt._starts == [e.dst for e in ctt._entries]
+        for offset, size in windows:
+            addr = DST_BASE + offset
+            assert (system._mcsquare_read(addr, size)
+                    == _full_scan_read(system, addr, size))
 
 
 @settings(max_examples=100, deadline=None)
@@ -128,6 +177,7 @@ def test_misaligned_sources_keep_invariants(triples):
         result = ctt.insert(dst, src, size)
         assert result.ok
         ctt.verify_invariants()
+        assert ctt._starts == [e.dst for e in ctt._entries]
         for dst_eager, pieces in result.eager_lines:
             assert sum(p[2] for p in pieces) == CL
 

@@ -8,7 +8,10 @@ one (and several) full rotations, the degenerate one-slot calendar,
 head, ``step()`` across a promotion, and ``max_events`` off-by-one
 behaviour matching the retired heap engine (a budget exhausted with
 only cancelled events left still livelocks, exactly as a non-empty
-heap did).
+heap did).  The last seam is the ring's occupancy map: a ``day-1``
+delay lands in the slot just behind the drain pointer, and a callback
+that raises leaves its slot half-drained; the map must keep flagging
+exactly the non-empty slots through both.
 """
 
 import pytest
@@ -156,3 +159,91 @@ class TestMaxEventsParity:
         doomed.cancel()
         with pytest.raises(SimulationError):
             sim.run(max_events=5)
+
+
+def _assert_occupancy(sim):
+    assert [bool(b) for b in sim._occ] == [bool(lst) for lst in sim._ring]
+
+
+class _Boom(Exception):
+    pass
+
+
+class TestOccupancyMap:
+    def test_day_minus_one_delay_wraps_behind_the_cursor(self):
+        sim = Simulator(day_length=8)
+        fired = []
+        sim.schedule(5, lambda: fired.append(sim.now))
+        sim.run()
+        # now=5: delay 7 lands in slot (5 + 7) & 7 == 4, one behind the
+        # cursor, so the next-busy search must wrap to find it.
+        sim.schedule(7, lambda: fired.append(sim.now))
+        assert len(sim._far) == 0
+        _assert_occupancy(sim)
+        sim.run()
+        assert fired == [5, 12]
+        _assert_occupancy(sim)
+
+    def test_day_minus_one_delay_from_a_callback_with_until(self):
+        sim = Simulator(day_length=16)
+        fired = []
+
+        def rearm():
+            fired.append(sim.now)
+            if len(fired) < 4:
+                sim.schedule(15, rearm)
+
+        sim.schedule(3, rearm)
+        assert sim.run(until=30) == 30
+        assert fired == [3, 18]
+        _assert_occupancy(sim)
+        sim.run()
+        assert fired == [3, 18, 33, 48]
+        _assert_occupancy(sim)
+
+    @pytest.mark.parametrize("observed", [False, True])
+    @pytest.mark.parametrize("boom_last", [False, True])
+    def test_raising_callback_then_resumed_run(self, observed, boom_last):
+        sim = Simulator(day_length=8)
+        if observed:
+            sim.enable_tracing(lambda label, now: None)
+        fired = []
+
+        def boom():
+            fired.append("boom")
+            raise _Boom()
+
+        sim.schedule(3, lambda: fired.append("a"))
+        sim.schedule(3, boom)
+        if not boom_last:
+            sim.schedule(3, lambda: fired.append("b"))
+        sim.schedule(6, lambda: fired.append("c"))
+        sim.schedule(20, lambda: fired.append("far"))
+        with pytest.raises(_Boom):
+            sim.run()
+        assert sim.now == 3
+        # The raising slot keeps exactly its unconsumed tail.
+        assert bool(sim._ring[3]) is not boom_last
+        _assert_occupancy(sim)
+        sim.run()
+        tail = ["c", "far"] if boom_last else ["b", "c", "far"]
+        assert fired == ["a", "boom"] + tail
+        assert sim.pending == 0
+        _assert_occupancy(sim)
+
+    def test_raising_callback_under_step(self):
+        sim = Simulator(day_length=8)
+        fired = []
+
+        def boom():
+            raise _Boom()
+
+        sim.schedule(2, boom)
+        sim.schedule(9, lambda: fired.append(sim.now))
+        with pytest.raises(_Boom):
+            sim.step()
+        _assert_occupancy(sim)
+        assert sim.step() is True
+        assert fired == [9]
+        assert sim.step() is False
+        _assert_occupancy(sim)
