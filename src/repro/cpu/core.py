@@ -90,6 +90,9 @@ class Core:
         self._fence: Optional[Op] = None
         self._serializing: Optional[Op] = None  # e.g. BULK_COPY
         self._sb_used = 0
+        # The op last counted in sb_full_stalls: an op waiting on a full
+        # store buffer counts once, however often the pump re-checks it.
+        self._sb_waiter: Optional[Op] = None
         # Pending (not yet drained) stores for store-to-load forwarding:
         # list of [addr, size, data] in program order, plus an index
         # from cacheline number to the entries touching that line,
@@ -116,7 +119,7 @@ class Core:
         self.stall_cycles = stats.counter(
             "stall_cycles", "cycles issue was fully blocked on memory")
         self.sb_full_stalls = stats.counter(
-            "sb_full_stalls", "issue attempts blocked by a full store buffer")
+            "sb_full_stalls", "ops that found the store buffer full at issue")
         self._outstanding_mem = 0
         self._mem_busy_since: Optional[int] = None
         self._stall_since: Optional[int] = None
@@ -187,7 +190,9 @@ class Core:
                 return
             self._pending_op = op
             if op.kind in sb_kinds and self._sb_used >= sb_limit:
-                self.sb_full_stalls.value += 1
+                if self._sb_waiter is not op:
+                    self._sb_waiter = op
+                    self.sb_full_stalls.value += 1
                 self._note_stall()
                 return
             now = sim.now
