@@ -2,12 +2,17 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test analyze analyze-tests analyze-diff simsan-smoke tie-smoke own-smoke trace-smoke chaos-smoke copyengine-smoke sarif lint baseline all bench bench-full bench-smoke perf-baseline ownership-report
+.PHONY: test deep-property analyze analyze-tests analyze-diff simsan-smoke tie-smoke own-smoke trace-smoke chaos-smoke copyengine-smoke sarif lint baseline all bench bench-full bench-smoke perf-baseline ownership-report
 
 all: analyze test
 
 test:
 	$(PYTHON) -m pytest -x -q
+
+# The property tests on fresh random seeds at ten times their tier-1
+# example budgets (tests/conftest.py); the seed is printed for replay.
+deep-property:
+	$(PYTHON) -m pytest tests/property -q -p no:cacheprovider --hypothesis-profile=deep
 
 # Regenerate every paper exhibit (quick scale), then enforce the
 # events/sec floors (engine, fig12, fig13) against

@@ -57,12 +57,15 @@ class CacheHierarchy:
         # Precomputed scan orders (hot: one full-hierarchy walk per line
         # for CLWB/MCLAZY/bulk-copy flushes).  ``_caches`` is every cache
         # once; ``_scan_order[core]`` starts at that core's L1, then the
-        # shared L2, then the peers — the same order the per-call list
-        # construction used to produce.
+        # peers, then the shared L2.  Both put every L1 before the L2: a
+        # dirty L1 copy is always at least as new as the L2's (the L2
+        # only receives L1 data by eviction or migration), so the first
+        # dirty copy in either order is the freshest.
         self._caches: List[Cache] = self.l1s + [self.l2]
         self._scan_order: List[List[Cache]] = [
-            [self.l1s[core], self.l2]
+            [self.l1s[core]]
             + [l1 for i, l1 in enumerate(self.l1s) if i != core]
+            + [self.l2]
             for core in range(num_cores)]
         self.prefetcher = StridePrefetcher(stats.group("prefetcher"),
                                            enabled=prefetch_enabled)
@@ -507,12 +510,18 @@ class CacheHierarchy:
 
     @staticmethod
     def _clean_scan(caches: List[Cache], line_addr: int) -> Optional[bytes]:
-        """Clear ``line_addr``'s dirty bit in every cache; first dirty wins.
+        """Clean ``line_addr`` everywhere; return the first dirty copy.
 
-        Equivalent to calling :meth:`Cache.clean` on each cache in order,
-        with the tag probe inlined: the CLWB/MCLAZY/bulk-copy paths run
-        this once per line over whole buffers, and the per-cache call
-        overhead dominated their profile.  ``line_addr`` must be aligned.
+        Clears the dirty bit in every cache, with the tag probe inlined:
+        the CLWB/MCLAZY/bulk-copy paths run this once per line over whole
+        buffers, and the per-cache call overhead dominated their profile.
+        The first dirty copy in ``caches`` order is the freshest (see
+        ``_scan_order``); it goes to memory, and its bytes are written
+        into every other valid copy.  Otherwise an older copy lower down
+        (an L2 line under a dirty L1 line) would be left valid and clean,
+        and would serve its stale bytes once the fresh line is evicted
+        silently.  Data only: no LRU stamp, counter or timing changes.
+        ``line_addr`` must be aligned.
         """
         data: Optional[bytes] = None
         for cache in caches:
@@ -522,6 +531,12 @@ class CacheHierarchy:
                 line.dirty = False
                 if data is None:
                     data = bytes(line.data)
+        if data is not None:
+            for cache in caches:
+                line = cache._sets[(line_addr >> _LINE_SHIFT)
+                                   % cache.num_sets].get(line_addr)
+                if line is not None:
+                    line.data[:] = data
         return data
 
     def _invalidate_everywhere(self, line_addr: int) -> None:

@@ -17,7 +17,7 @@ destination lines instead of laundering them as clean data.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import System, small_system
 from repro.common.units import CACHELINE_SIZE, PAGE_SIZE
@@ -107,9 +107,21 @@ def run_case(backend, steps, layout="hash"):
             f"visible={visible[i]:#x} shadow={shadow[i]:#x}")
 
 
+#: Stale-copy reproducer: only the third copy is channel-congruent and
+#: runs in DRAM.  Its flush cleaned a dirty L1 line of 0x7000 (written
+#: by the first copy) but left an older L2 copy valid and clean, so
+#: once the L1 line was evicted, reads of 0x7000 returned pre-copy
+#: bytes.
+STALE_COPY_PROGRAM = [("copy", 0x7000, 0x2940, 2112),
+                      ("copy", 0x37c0, 0x2800, 384),
+                      ("copy", 0x0, 0x7000, 576),
+                      ("copy", 0xe40, 0x0, 3072)]
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 @settings(max_examples=12, deadline=None)
 @given(steps=copy_programs())
+@example(steps=STALE_COPY_PROGRAM)
 def test_backend_matches_shadow(backend, steps):
     run_case(backend, steps)
 
@@ -117,6 +129,7 @@ def test_backend_matches_shadow(backend, steps):
 @pytest.mark.parametrize("backend", ("rowclone", "mirror"))
 @settings(max_examples=8, deadline=None)
 @given(steps=copy_programs())
+@example(steps=STALE_COPY_PROGRAM)
 def test_indram_backend_matches_shadow_ideal_layout(backend, steps):
     """The FPM-everywhere layout changes timing only, never bytes."""
     run_case(backend, steps, layout="ideal")

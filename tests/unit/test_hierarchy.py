@@ -234,3 +234,75 @@ class TestBulkCopy:
 
         system.run_program(prog())
         assert got["v"] == b"\x99" * 8
+
+
+class TestCleanRefreshesOlderCopies:
+    """Every caller of the clean scan: a dirty L1 line over an older L2
+    copy is cleaned, the (now clean) L1 line is evicted silently, and a
+    load must still see the fresh bytes, not the L2's stale ones."""
+
+    OLD = b"\x11" * CL
+    MID = b"\x22" * CL
+    NEW = b"\x33" * CL
+
+    def _dirty_l1_over_stale_l2(self, system, addr, l2_dirty, holder=0):
+        h = system.hierarchy
+        system.backing.write(addr, self.OLD)
+        h.l2.fill(addr, self.MID if l2_dirty else self.OLD, now=0,
+                  dirty=l2_dirty)
+        h.l1s[holder].fill(addr, self.NEW, now=0, dirty=True)
+
+    def _evict_and_load(self, system, addr, holder=0):
+        h = system.hierarchy
+        line = h.l1s[holder].invalidate(addr)
+        assert line is not None and not line.dirty  # a silent eviction
+        got = {}
+        h.load(0, addr, 8, lambda data, t: got.setdefault("v", data))
+        system.drain()
+        return got["v"]
+
+    def _clean_with(self, caller, system, addr):
+        h = system.hierarchy
+        done = []
+        other = addr + 16 * 1024  # row-aligned, channel-congruent dst
+        if caller == "clwb":
+            h.clwb(0, addr, done.append)
+        elif caller == "clwb_range":
+            h.clwb_range(0, addr, CL, done.append)
+        elif caller == "handle_mclazy":
+            h.handle_mclazy(0, other, addr, CL, done.append)
+        elif caller == "handle_inmem_copy":
+            h.handle_inmem_copy(0, other, addr, CL, "rowclone", done.append)
+        else:
+            h.bulk_copy(0, other, addr, CL, done.append)
+        system.drain()
+        assert done
+        return other
+
+    @pytest.mark.parametrize("l2_dirty", [False, True])
+    @pytest.mark.parametrize("caller", ["clwb", "clwb_range",
+                                        "handle_mclazy",
+                                        "handle_inmem_copy", "bulk_copy"])
+    def test_load_after_clean_and_evict_sees_fresh_data(self, caller,
+                                                        l2_dirty):
+        kw = {}
+        if caller != "handle_mclazy":
+            kw = dict(mcsquare_enabled=False, inmem_layout="ideal")
+        system = build(**kw)
+        addr = system.alloc(64 * 1024, align=16 * 1024)
+        self._dirty_l1_over_stale_l2(system, addr, l2_dirty)
+        other = self._clean_with(caller, system, addr)
+        assert system.backing.read(addr, CL) == self.NEW
+        assert self._evict_and_load(system, addr) == self.NEW[:8]
+        if caller in ("handle_mclazy", "handle_inmem_copy", "bulk_copy"):
+            assert system.read_memory(other, CL) == self.NEW
+
+    def test_clwb_from_peer_core_writes_the_owner_copy(self):
+        # The dirty line sits in core 1's L1 over an older dirty L2
+        # copy; core 0's CLWB must write core 1's bytes, not the L2's.
+        system = build()
+        addr = system.alloc(4096)
+        self._dirty_l1_over_stale_l2(system, addr, True, holder=1)
+        self._clean_with("clwb", system, addr)
+        assert system.backing.read(addr, CL) == self.NEW
+        assert self._evict_and_load(system, addr, holder=1) == self.NEW[:8]
