@@ -56,6 +56,11 @@ class Cache:
         self.num_sets = size // (assoc * CACHELINE_SIZE)
         self._sets: List[Dict[int, CacheLine]] = [
             {} for _ in range(self.num_sets)]
+        # False until the first fill.  A cache that never held a line
+        # cannot hit, so the hierarchy's peer and coherence walks skip
+        # it: on a many-core machine running one program, that is every
+        # idle core's L1.
+        self.filled = False
         stats = stats or StatGroup(name)
         self.stats = stats
         self.hits = stats.counter("hits", "lookups that hit")
@@ -131,6 +136,7 @@ class Cache:
         line = CacheLine(line_addr, data, now)
         line.dirty = dirty
         cset[line_addr] = line
+        self.filled = True
         self.policy.on_fill(line)
         return victim
 

@@ -67,6 +67,14 @@ class CacheHierarchy:
             + [l1 for i, l1 in enumerate(self.l1s) if i != core]
             + [self.l2]
             for core in range(num_cores)]
+        # Every other core's L1, in core order (all in this shard's cpu
+        # domain, like ``l1s`` itself).  The peer walks below
+        # skip an L1 that was never filled (Cache.filled): it cannot
+        # hold the line, and on the Figs. 12/13 machine (8 cores, one
+        # program) that is seven of them.
+        self._other_l1s: List[List[Cache]] = [
+            [l1 for i, l1 in enumerate(self.l1s) if i != core]
+            for core in range(num_cores)]
         self.prefetcher = StridePrefetcher(stats.group("prefetcher"),
                                            enabled=prefetch_enabled)
         # Per-core outstanding L1 misses (MSHR budget) + wait queues.
@@ -136,8 +144,9 @@ class CacheHierarchy:
         # MESI-style owner forward: if a peer L1 holds the line dirty,
         # its copy is the truth — any L2 copy is a stale RFO fill.
         # Migrate it into the shared L2 before consulting it.
-        for i, peer in enumerate(self.l1s):
-            if i == core:
+        others = self._other_l1s[core]
+        for peer in others:
+            if not peer.filled:
                 continue
             peer_line = peer.lookup(addr, self.sim.now, touch=False)
             if peer_line is not None and peer_line.dirty:
@@ -165,8 +174,8 @@ class CacheHierarchy:
 
         # Snoop peer L1s: a dirty copy there must be forwarded, not
         # re-fetched stale from memory.
-        for i, peer in enumerate(self.l1s):
-            if i == core:
+        for peer in others:
+            if not peer.filled:
                 continue
             peer_line = peer.lookup(addr, self.sim.now, touch=False)
             if peer_line is not None:
@@ -525,6 +534,8 @@ class CacheHierarchy:
         """
         data: Optional[bytes] = None
         for cache in caches:
+            if not cache.filled:
+                continue
             line = cache._sets[(line_addr >> _LINE_SHIFT)
                                % cache.num_sets].get(line_addr)
             if line is not None and line.dirty:
@@ -533,6 +544,8 @@ class CacheHierarchy:
                     data = bytes(line.data)
         if data is not None:
             for cache in caches:
+                if not cache.filled:
+                    continue
                 line = cache._sets[(line_addr >> _LINE_SHIFT)
                                    % cache.num_sets].get(line_addr)
                 if line is not None:
@@ -548,6 +561,8 @@ class CacheHierarchy:
         observes the new memory-side state (e.g. a CTT bounce).
         """
         for cache in self._caches:
+            if not cache.filled:
+                continue
             # Cache.invalidate inlined (one call per cache per line over
             # whole buffers on the MCLAZY/bulk-copy paths).
             line = cache._sets[(line_addr >> _LINE_SHIFT)
@@ -563,8 +578,8 @@ class CacheHierarchy:
 
     def _invalidate_peers(self, core: int, line_addr: int) -> None:
         """Write-invalidate coherence: kill other cores' copies."""
-        for i, l1 in enumerate(self.l1s):
-            if i == core:
+        for l1 in self._other_l1s[core]:
+            if not l1.filled:
                 continue
             victim = l1.invalidate(line_addr)
             if victim is not None and victim.dirty:
@@ -575,6 +590,8 @@ class CacheHierarchy:
     def _functional_line(self, core: int, line_addr: int) -> bytes:
         """Best-effort current value of a line from the caches (NT merge)."""
         for cache in self._scan_order[core]:
+            if not cache.filled:
+                continue
             line = cache._sets[(line_addr >> _LINE_SHIFT)
                                % cache.num_sets].get(line_addr)
             if line is not None:
@@ -752,6 +769,8 @@ class CacheHierarchy:
         """Read bytes from the caches only (None when uncached)."""
         line_addr = align_down(addr, CACHELINE_SIZE)
         for cache in self._all_caches():
+            if not cache.filled:
+                continue
             line = cache._sets[(line_addr >> _LINE_SHIFT)
                                % cache.num_sets].get(line_addr)
             if line is not None:

@@ -10,10 +10,13 @@ the :class:`~repro.cache.cache.Cache` container owns the line storage.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Dict, Optional
 
 from repro.common.errors import ConfigError
 from repro.sim.shard import shard_local
+
+_LAST_USED = attrgetter("last_used")
 
 
 @shard_local(domain="cpu")
@@ -53,7 +56,9 @@ class LruPolicy(ReplacementPolicy):
         pass
 
     def victim(self, cache_set, now: int) -> int:
-        return min(cache_set, key=lambda a: cache_set[a].last_used)
+        # First least-recent line in insertion order, as min() keeps the
+        # first of equal keys.
+        return min(cache_set.values(), key=_LAST_USED).addr
 
 
 class RandomPolicy(ReplacementPolicy):

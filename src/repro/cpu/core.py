@@ -16,8 +16,21 @@ the paper's memcpy analysis (§II):
 * MFENCE completes only when every older op — including outstanding
   writebacks and lazy-copy packets — has completed (§III-C).
 
-The core is event-driven: :meth:`_pump` advances issue whenever a
-resource frees, and in-order retirement frees window slots.
+The core is event-driven.  :meth:`_pump` is its only issue loop and
+runs as one pending event at a time: it issues ops until one cannot
+issue yet, then either schedules itself at ``_next_issue_at`` (the
+issue cost of the last op) or records the *gate* it stopped on — a
+blocking load in flight, an incomplete fence, a serializing bulk copy,
+a full window or a full store buffer.  Completions, store-buffer
+releases, resumed loads and fence completions wake the pump only once
+that gate has cleared (program exhaustion always wakes, to finish):
+the gates before it in the loop only close when an op issues, so a
+pump woken earlier would stop at the same gate again.  Ops issued by
+the running loop need no wake at all; its next iteration serves them.
+In-order retirement frees window slots.
+
+``sb_full_stalls`` counts ops that found the store buffer full when
+they came to issue, each op once however long it waited.
 """
 
 from __future__ import annotations
@@ -36,6 +49,10 @@ from repro.sim.shard import shard_local
 from repro.sim.stats import StatGroup
 
 Program = Generator[Op, Optional[bytes], None]
+
+# The gate a parked pump stopped on (Core._gate), in _pump's order.
+# _OPEN means no gate holds the pump back: it ran out of program.
+_OPEN, _AWAIT, _FENCE, _SERIAL, _ROB, _SB = range(6)
 
 _ISSUE_COST = {
     OpKind.LOAD: 1,
@@ -104,9 +121,13 @@ class Core:
         self._next_issue_at = 0
         self._exhausted = True
         self._on_finish: Optional[Callable[[int], None]] = None
+        # True from the moment a pump event is scheduled until that pump
+        # parks on a gate: it covers the running loop, which serves any
+        # wake its own ops raise.
         self._pump_scheduled = False
-        # Hot-path bindings: _schedule_pump runs several times per op, so
-        # the label and entry callback are built once, not per schedule.
+        self._gate = _OPEN
+        # Hot-path bindings: the pump re-schedules itself once per issue
+        # gap, so the label and entry callback are built once.
         self._pump_label = f"core{core_id}-pump"
         self._pump_entry = self._run_pump
 
@@ -145,23 +166,54 @@ class Core:
             self._schedule_pump()
 
     # ------------------------------------------------------------ pumping
-    def _schedule_pump(self, delay: int = 0) -> None:
-        if self._pump_scheduled:
-            return
+    def _schedule_pump(self) -> None:
         self._pump_scheduled = True
         # Late phase: the pump is the core's issue *arbiter* — it must
         # observe every same-cycle completion / resume / buffer release
         # before deciding what issues this cycle, no matter how the
         # tie-break orders those events (see repro.sim.engine).
-        self.sim.schedule(delay, self._pump_entry, label=self._pump_label,
+        self.sim.schedule(0, self._pump_entry, label=self._pump_label,
                           phase=1)
 
-    def _run_pump(self) -> None:
+    def _wake(self) -> None:
+        """Schedule a pump unless one is pending or its gate still holds."""
+        if self._pump_scheduled:
+            return
+        gate = self._gate
+        if gate == _ROB:
+            if len(self._window) >= self.rob_entries:
+                return
+        elif gate == _AWAIT:
+            if self._awaiting is not None:
+                return
+        elif gate == _SB:
+            if self._sb_used >= self.store_buffer_entries:
+                return
+        elif gate == _SERIAL:
+            serializing = self._serializing
+            if serializing is not None and serializing.completed_at is None:
+                return
+        elif gate == _FENCE:
+            fence = self._fence
+            if fence is not None and fence.completed_at is None:
+                return
+        self._schedule_pump()
+
+    def _park(self, gate: int) -> None:
+        """End the running pump: it stopped on ``gate``."""
+        self._gate = gate
         self._pump_scheduled = False
+
+    def _run_pump(self) -> None:
         self._pump()
 
     def _pump(self) -> None:
-        """Issue as many ops as resources allow at the current cycle."""
+        """Issue as many ops as resources allow at the current cycle.
+
+        Runs with ``_pump_scheduled`` still set, so wakes raised by the
+        ops it issues are no-ops; it ends by re-scheduling itself at
+        ``_next_issue_at`` or by parking on the gate that stopped it.
+        """
         # Loop-invariant bindings (the mutable gates — _awaiting, _fence,
         # _serializing, _pending_op — are re-read each iteration because
         # _issue flips them mid-loop).
@@ -173,19 +225,25 @@ class Core:
         while True:
             if self._awaiting is not None:
                 self._note_stall()
+                self._park(_AWAIT)
                 return
             fence = self._fence
             if fence is not None and fence.completed_at is None:
+                self._park(_FENCE)
                 return  # fence blocks younger ops entirely
             serializing = self._serializing
             if serializing is not None and serializing.completed_at is None:
                 self._note_stall()
+                self._park(_SERIAL)
                 return  # kernel bulk copy blocks younger ops
             if len(window) >= rob:
                 self._note_stall()
+                self._park(_ROB)
                 return
             op = self._pending_op or self._pull()
             if op is None:
+                # Park first: a finish callback may start a new program.
+                self._park(_OPEN)
                 self._maybe_finish()
                 return
             self._pending_op = op
@@ -194,10 +252,13 @@ class Core:
                     self._sb_waiter = op
                     self.sb_full_stalls.value += 1
                 self._note_stall()
+                self._park(_SB)
                 return
             now = sim.now
             if self._next_issue_at > now:
-                self._schedule_pump(self._next_issue_at - now)
+                # This event is the core's one pending pump.
+                sim.schedule(self._next_issue_at - now, self._pump_entry,
+                             label=self._pump_label, phase=1)
                 return
             self._pending_op = None
             self._clear_stall()
@@ -225,8 +286,7 @@ class Core:
             self._pending_op = op
         except StopIteration:
             self._exhausted = True
-        if not self._pump_scheduled:
-            self._schedule_pump()
+        self._wake()
 
     def _forward_from_store_buffer(self, addr: int,
                                    size: int) -> Optional[bytes]:
@@ -341,10 +401,6 @@ class Core:
                            OpKind.CLWB_RANGE, OpKind.MCLAZY, OpKind.MCFREE,
                            OpKind.INMEM_COPY))
 
-    @staticmethod
-    def _needs_sb_slot(op: Op) -> bool:
-        return op.kind in Core._SB_KINDS
-
     def _issue(self, op: Op) -> None:
         now = self.sim.now
         op.issued_at = now
@@ -372,8 +428,6 @@ class Core:
                 if op.blocking:
                     self._awaiting = op
                 self.sim.schedule_at(done, _fwd, label="stl-forward")
-                if not self._pump_scheduled:
-                    self._schedule_pump()
                 return
             self._mem_begin()
             if op.blocking:
@@ -515,8 +569,6 @@ class Core:
             self._try_fence()
         else:  # pragma: no cover - exhaustive
             raise SimulationError(f"unknown op kind {kind}")
-        if not self._pump_scheduled:
-            self._schedule_pump()
 
     # -------------------------------------------------------- completion
     def _complete(self, op: Op) -> None:
@@ -524,8 +576,7 @@ class Core:
         self._retire()
         if self._fence is not None:
             self._try_fence()
-        if not self._pump_scheduled:
-            self._schedule_pump()
+        self._wake()
 
     def _retire(self) -> None:
         while self._window and self._window[0].completed_at is not None:
@@ -551,8 +602,7 @@ class Core:
                     fence.completed_at = self.sim.now
                     self._fence = None
                     self._retire()
-                    if not self._pump_scheduled:
-                        self._schedule_pump()
+                    self._wake()
 
             self.sim.schedule_at(done, _fence_done, label="mfence-done")
 
@@ -560,8 +610,7 @@ class Core:
         self._sb_used -= 1
         if self._fence is not None:
             self._try_fence()
-        if not self._pump_scheduled:
-            self._schedule_pump()
+        self._wake()
 
     def _maybe_finish(self) -> None:
         if self.idle and self._on_finish is not None:

@@ -31,6 +31,12 @@ class OpKind(enum.Enum):
     BULK_COPY = "bulk_copy"    # rep-movsb-style line-granular kernel copy
     INMEM_COPY = "inmem_copy"  # in-DRAM row copy (RowClone / mirroring)
 
+    # Identity hash, consistent with Enum's identity equality: the core
+    # hashes op.kind for every op it issues (_SB_KINDS, _ISSUE_COST),
+    # and Enum.__hash__ is a Python-level call hashing the name.  No
+    # code iterates a set of kinds, so no order depends on it.
+    __hash__ = object.__hash__
+
 
 class Op:
     """One dynamic operation flowing through the core.

@@ -26,6 +26,12 @@ class PacketType(enum.Enum):
     CTT_UPDATE = "ctt_update"    # inter-MC snoop keeping CTTs consistent
     INMEM_COPY = "inmem_copy"    # in-DRAM row copy (RowClone / mirroring)
 
+    # Identity hash, consistent with Enum's identity equality: packet
+    # types key per-packet label and rank tables, and Enum.__hash__ is
+    # a Python-level call hashing the name.  No code iterates a set of
+    # types, so no order depends on it.
+    __hash__ = object.__hash__
+
 
 @shared
 class Packet:
