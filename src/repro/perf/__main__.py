@@ -2,11 +2,13 @@
 
 Commands:
 
-* ``micro``    — run the engine/fig12 microbenchmarks, print the
-  numbers, and record them into ``results/BENCH_sim.json``;
+* ``micro``    — run the engine/fig12/fig13 microbenchmarks, print the
+  numbers (events/sec, and simulated cycles/sec for the fig points),
+  and record them into ``results/BENCH_sim.json``;
 * ``gate``     — re-run the microbenchmarks and fail (exit 1) if the
   machine-normalized events/sec regressed more than ``--tolerance``
-  (default 20%) against ``benchmarks/bench-baseline.json``;
+  (default 20%) against ``benchmarks/bench-baseline.json``; simulated
+  cycles/sec is printed beside it but not gated;
 * ``baseline`` — rewrite ``benchmarks/bench-baseline.json`` from a
   fresh measurement (run on an idle machine);
 * ``cache``    — ``info`` or ``clear`` the persistent sim-result cache;
@@ -33,6 +35,10 @@ BASELINE_PATH = repo_root() / "benchmarks" / "bench-baseline.json"
 #: The machine-normalized metrics the perf gate enforces.
 GATED_METRICS = ("engine_per_calibration_op", "fig12_per_calibration_op",
                  "fig13_per_calibration_op")
+#: Reported beside the gated metrics, never gated: simulated cycles per
+#: host second, which a change that removes events does not lower.
+REPORTED_METRICS = ("fig12_cycles_per_sec", "fig12_cycles_per_calibration_op",
+                    "fig13_cycles_per_sec", "fig13_cycles_per_calibration_op")
 
 
 def _measure(args) -> dict:
@@ -46,7 +52,7 @@ def _cmd_micro(args) -> int:
 
     numbers = _measure(args)
     for key in sorted(numbers):
-        print(f"{key:28s} {numbers[key]}")
+        print(f"{key:32s} {numbers[key]}")
     if not args.no_record:
         record_engine(numbers)
         print("\nrecorded into results/BENCH_sim.json")
@@ -109,6 +115,8 @@ def _cmd_gate(args) -> int:
         failed = failed or measured < floor
         print(f"{metric}: measured {measured:.4f} vs baseline "
               f"{reference:.4f} (floor {floor:.4f}) — {verdict}")
+    for metric in REPORTED_METRICS:
+        print(f"{metric}: {numbers[metric]} (reported, not gated)")
     if failed:
         print(f"\nperf gate FAILED: events/sec regressed more than "
               f"{args.tolerance:.0%} vs {args.baseline}", file=sys.stderr)
