@@ -61,19 +61,16 @@ class CacheHierarchy:
         # dirty L1 copy is always at least as new as the L2's (the L2
         # only receives L1 data by eviction or migration), so the first
         # dirty copy in either order is the freshest.
+        # ``_other_l1s[core]`` is every other core's L1, in core order.
+        # The walks below skip a cache that was never filled
+        # (Cache.filled): it cannot hold the line, and on the Figs.
+        # 12/13 machine (8 cores, one program) that is seven L1s.
         self._caches: List[Cache] = self.l1s + [self.l2]
-        self._scan_order: List[List[Cache]] = [
-            [self.l1s[core]]
-            + [l1 for i, l1 in enumerate(self.l1s) if i != core]
-            + [self.l2]
-            for core in range(num_cores)]
-        # Every other core's L1, in core order (all in this shard's cpu
-        # domain, like ``l1s`` itself).  The peer walks below
-        # skip an L1 that was never filled (Cache.filled): it cannot
-        # hold the line, and on the Figs. 12/13 machine (8 cores, one
-        # program) that is seven of them.
         self._other_l1s: List[List[Cache]] = [
             [l1 for i, l1 in enumerate(self.l1s) if i != core]
+            for core in range(num_cores)]
+        self._scan_order: List[List[Cache]] = [
+            [self.l1s[core]] + self._other_l1s[core] + [self.l2]
             for core in range(num_cores)]
         self.prefetcher = StridePrefetcher(stats.group("prefetcher"),
                                            enabled=prefetch_enabled)

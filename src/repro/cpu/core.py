@@ -129,7 +129,7 @@ class Core:
         # Hot-path bindings: the pump re-schedules itself once per issue
         # gap, so the label and entry callback are built once.
         self._pump_label = f"core{core_id}-pump"
-        self._pump_entry = self._run_pump
+        self._pump_entry = self._pump
 
         # -------- statistics ---------------------------------------------
         self.ops_retired = stats.counter("ops_retired", "ops retired")
@@ -166,13 +166,13 @@ class Core:
             self._schedule_pump()
 
     # ------------------------------------------------------------ pumping
-    def _schedule_pump(self) -> None:
+    def _schedule_pump(self, delay: int = 0) -> None:
         self._pump_scheduled = True
         # Late phase: the pump is the core's issue *arbiter* — it must
         # observe every same-cycle completion / resume / buffer release
         # before deciding what issues this cycle, no matter how the
         # tie-break orders those events (see repro.sim.engine).
-        self.sim.schedule(0, self._pump_entry, label=self._pump_label,
+        self.sim.schedule(delay, self._pump_entry, label=self._pump_label,
                           phase=1)
 
     def _wake(self) -> None:
@@ -203,9 +203,6 @@ class Core:
         """End the running pump: it stopped on ``gate``."""
         self._gate = gate
         self._pump_scheduled = False
-
-    def _run_pump(self) -> None:
-        self._pump()
 
     def _pump(self) -> None:
         """Issue as many ops as resources allow at the current cycle.
@@ -256,9 +253,8 @@ class Core:
                 return
             now = sim.now
             if self._next_issue_at > now:
-                # This event is the core's one pending pump.
-                sim.schedule(self._next_issue_at - now, self._pump_entry,
-                             label=self._pump_label, phase=1)
+                # The core's one pending pump; the flag stays set.
+                self._schedule_pump(self._next_issue_at - now)
                 return
             self._pending_op = None
             self._clear_stall()
